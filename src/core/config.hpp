@@ -37,12 +37,12 @@ enum class DeliveryStrategy {
   /// runs the rigid (p-1)-stage total exchange (stage k: pid i sends to
   /// (i+k) mod p and receives from (i-k) mod p, length-prefixed frames).
   /// No boundary barriers: the exchange itself is the synchronisation, as on
-  /// the real PC-LAN. See core/transport_socket.hpp.
+  /// the real PC-LAN. See core/transport_mesh.hpp.
   Socket,
   /// The same staged exchange over AF_INET/TCP between separate OS
   /// processes: this process is exactly one rank (tcp_rank) of an nprocs
   /// process run, normally launched by `bsp_launch`, and connects to its
-  /// peers over loopback or a real LAN. See core/transport_tcp.hpp.
+  /// peers over loopback or a real LAN. See core/transport_mesh.hpp.
   Tcp,
   /// The same staged exchange between separate OS processes over shared
   /// memory: each rank pair shares an mmap'd memfd segment holding one SPSC
@@ -50,7 +50,7 @@ enum class DeliveryStrategy {
   /// by an AF_UNIX fd-passing handshake. The steady-state data path is pure
   /// memcpy + atomic head/tail counters — zero syscalls (wire_syscalls
   /// reads 0). One process == one rank (shm_rank), normally launched by
-  /// `bsp_launch --transport shm`. See core/transport_shm.hpp.
+  /// `bsp_launch --transport shm`. See core/transport_mesh.hpp.
   Shm,
 };
 
@@ -117,22 +117,13 @@ struct Config {
   /// BspTransportError instead of hanging on a dead or wedged peer.
   std::size_t socket_stage_timeout_ms = 10'000;
 
-  /// Socket transport: idle-wait backoff inside a stage. When neither
-  /// direction can make progress the worker polls its two stage sockets,
-  /// starting at the initial wait and doubling up to the cap (bounded
-  /// exponential backoff). Shorter waits detect aborts faster; longer waits
-  /// burn less CPU while a slow peer computes.
-  std::size_t socket_backoff_initial_ms = 1;
+  /// Socket transport: cap of the idle-wait backoff inside a stage. When
+  /// neither direction can make progress the worker first spins briefly,
+  /// then polls its two stage sockets, starting at a 1 ms wait and doubling
+  /// up to this cap (bounded exponential backoff; the spin budget and the
+  /// initial wait are ExchangeEngine constants). Shorter waits detect aborts
+  /// faster; longer waits burn less CPU while a slow peer computes.
   std::size_t socket_backoff_max_ms = 50;
-
-  /// Socket transport: adaptive spin-then-poll wait policy. After both
-  /// directions of a stage hit EAGAIN, the worker keeps retrying the
-  /// non-blocking pumps (yielding the CPU between attempts, so an
-  /// oversubscribed host hands the core to the peer) for this long before
-  /// falling back to poll() with the bounded backoff above. Spinning skips
-  /// the sleep/wake round trip when the peer is only microseconds behind;
-  /// 0 disables the spin phase and polls immediately.
-  std::size_t socket_spin_us = 50;
 
   /// Socket transport: upper bound on a single message's payload on the
   /// wire. Outgoing messages above it are rejected at send time; incoming
@@ -152,7 +143,7 @@ struct Config {
 
   /// TCP transport (delivery == Tcp): which rank of the nprocs-process run
   /// THIS process is. Set by bsp_launch via the GBSP_RANK environment
-  /// variable (see configure_tcp_from_env).
+  /// variable (see configure_proc_from_env).
   int tcp_rank = 0;
 
   /// TCP transport: numeric IPv4 address every rank binds and connects on.
@@ -245,6 +236,19 @@ struct Config {
   std::size_t superstep_deadline_ms = 0;
 };
 
+/// True when this process hosts exactly ONE rank of a multi-process run
+/// (the tcp and shm transports), rather than all nprocs ranks as threads.
+[[nodiscard]] inline bool process_mode(const Config& cfg) {
+  return cfg.delivery == DeliveryStrategy::Tcp ||
+         cfg.delivery == DeliveryStrategy::Shm;
+}
+
+/// The global rank this process hosts in process mode (Config::tcp_rank or
+/// Config::shm_rank, by transport).
+[[nodiscard]] inline int process_rank(const Config& cfg) {
+  return cfg.delivery == DeliveryStrategy::Shm ? cfg.shm_rank : cfg.tcp_rank;
+}
+
 /// Validates a Config at Runtime construction, so bad values fail loudly
 /// with std::invalid_argument instead of surfacing as deadlocks or UB deep
 /// inside delivery.
@@ -268,23 +272,15 @@ inline void validate_config(const Config& cfg) {
         "gbsp: socket_stage_timeout_ms must be in [1, 3600000], got " +
         std::to_string(cfg.socket_stage_timeout_ms));
   }
-  if (cfg.socket_backoff_initial_ms == 0 ||
-      cfg.socket_backoff_initial_ms > cfg.socket_backoff_max_ms) {
+  if (cfg.socket_backoff_max_ms == 0) {
     throw std::invalid_argument(
-        "gbsp: socket_backoff_initial_ms must be in [1, "
-        "socket_backoff_max_ms]");
+        "gbsp: socket_backoff_max_ms must be >= 1 (a zero cap would poll "
+        "without waiting)");
   }
   if (cfg.socket_backoff_max_ms > cfg.socket_stage_timeout_ms) {
     throw std::invalid_argument(
         "gbsp: socket_backoff_max_ms must not exceed socket_stage_timeout_ms "
         "(an idle wait longer than the timeout could overshoot it)");
-  }
-  constexpr std::size_t kMaxSpinUs = 1'000'000;  // one second
-  if (cfg.socket_spin_us > kMaxSpinUs) {
-    throw std::invalid_argument(
-        "gbsp: socket_spin_us must be <= 1000000 (spinning longer than a "
-        "second burns the core the peer needs), got " +
-        std::to_string(cfg.socket_spin_us));
   }
   if (cfg.socket_max_frame_bytes == 0) {
     throw std::invalid_argument(

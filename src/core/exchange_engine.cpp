@@ -235,7 +235,7 @@ void ExchangeEngine::begin_stage(StageState& ss, int k) {
   ss.send_pre.payload_bytes = ob.payload_bytes();
   // Pack the header block; payloads are NOT serialized — the iovec below
   // points sendmsg straight at the staging arena's slabs, so the payload
-  // section leaves the process from the memory stage_send wrote it to.
+  // section leaves the process from the memory the send wrote it to.
   hdr_out_.clear();
   hdr_out_.reserve(static_cast<std::size_t>(ss.send_pre.header_bytes));
   // zc_out_ holds the arena ordinals (ascending, by construction) of frames
@@ -691,7 +691,7 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
   const int sfd = mesh_->fd(pid_, send_peer(ss));
   const int rfd = mesh_->fd(pid_, recv_peer(ss));
   auto last_progress = Clock::now();
-  std::size_t backoff_ms = cfg_->socket_backoff_initial_ms;
+  std::size_t backoff_ms = kBackoffInitialMs;
   // The shm idle nap is microsecond-scale: unlike poll(), which wakes the
   // moment the peer writes, a sleep against a memory ring is blind — the
   // full nap is paid even if the ring fills immediately. Millisecond naps
@@ -709,7 +709,7 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
     if (ss.send_done && ss.recv_done) return;
     if (moved != 0) {
       last_progress = Clock::now();
-      backoff_ms = cfg_->socket_backoff_initial_ms;
+      backoff_ms = kBackoffInitialMs;
       backoff_us = kShmNapInitialUs;
       continue;
     }
@@ -731,8 +731,7 @@ void ExchangeEngine::run_stage(WorkerState& st, StageState& ss) {
     // On shm the spin budget is stretched: a yield round-robins the ranks
     // sharing the host's cores (each yield is a cheap handoff to a peer that
     // may be about to write this ring), where a nap is a blind wait.
-    const std::size_t spin_us =
-        is_shm_ ? cfg_->socket_spin_us * 64 : cfg_->socket_spin_us;
+    const std::size_t spin_us = is_shm_ ? kSpinUs * 64 : kSpinUs;
     if (idle < std::chrono::microseconds(spin_us)) {
       std::this_thread::yield();
       continue;

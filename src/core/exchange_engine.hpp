@@ -32,9 +32,9 @@
 // supersteps unambiguous even when one worker runs ahead.
 //
 // Waiting is adaptive spin-then-poll: after both directions hit EAGAIN the
-// worker retries the non-blocking pumps for Config::socket_spin_us (yielding
-// between attempts, so oversubscribed hosts hand the core to the peer)
-// before falling back to poll with bounded exponential backoff.
+// worker retries the non-blocking pumps for ExchangeEngine::kSpinUs
+// (yielding between attempts, so oversubscribed hosts hand the core to the
+// peer) before falling back to poll with bounded exponential backoff.
 //
 // Shm fast path: when the mesh exposes shared-memory pair views
 // (Mesh::shm_pair, non-null for ShmMesh), both pumps swap their syscalls for
@@ -135,6 +135,14 @@ class ExchangeEngine {
     std::uint64_t send_moved = 0;
     std::uint64_t recv_moved = 0;
   };
+
+  /// Wait policy, shared with MeshTransport's Serialized driver: after both
+  /// directions of a stage hit EAGAIN, retry the non-blocking pumps for
+  /// kSpinUs (a peer in the same boundary is typically microseconds away),
+  /// then poll with a wait that starts at kBackoffInitialMs and doubles up
+  /// to Config::socket_backoff_max_ms.
+  static constexpr std::size_t kSpinUs = 50;
+  static constexpr std::size_t kBackoffInitialMs = 1;
 
   /// `fault` is a handle to the owning transport's injector pointer (the
   /// injector can be swapped between runs without re-plumbing the engine);

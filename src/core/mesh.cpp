@@ -118,6 +118,110 @@ std::string endpoint_str(const std::string& host, int port) {
   return host + ":" + std::to_string(port);
 }
 
+/// Sends rank `me`'s RankHello for an `nprocs`-rank run on a freshly
+/// connected bootstrap link (blocking, bounded by the link's SO_SNDTIMEO).
+/// `peer` is -1 when the other end's rank is not yet known.
+void send_hello(int fd, int me, int nprocs, int peer) {
+  RankHello h;
+  h.rank = static_cast<std::uint32_t>(me);
+  h.nprocs = static_cast<std::uint32_t>(nprocs);
+  int err = 0;
+  if (!write_full(fd, &h, sizeof(h), &err)) {
+    throw BspTransportError("failed to send the rank handshake", me, peer,
+                            /*superstep=*/-1, /*stage=*/-1, err,
+                            /*bytes_moved=*/0);
+  }
+}
+
+/// Reads the peer's RankHello (blocking, bounded by the link's SO_RCVTIMEO,
+/// which the bootstrap sets to Config::tcp_connect_timeout_ms).
+RankHello recv_hello(int fd, int me, int peer, const Config& cfg) {
+  RankHello h;
+  int err = 0;
+  if (read_full(fd, &h, sizeof(h), &err)) return h;
+  if (err == 0) {
+    throw BspTransportError(
+        "peer closed the connection during the rank handshake (peer died "
+        "during accept?)",
+        me, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  if (err == EAGAIN || err == EWOULDBLOCK) {
+    throw BspTransportError(
+        "rank handshake timed out after tcp_connect_timeout_ms=" +
+            std::to_string(cfg.tcp_connect_timeout_ms) + "ms",
+        me, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
+        /*bytes_moved=*/0);
+  }
+  throw BspTransportError("failed to read the rank handshake", me, peer,
+                          /*superstep=*/-1, /*stage=*/-1, err,
+                          /*bytes_moved=*/0);
+}
+
+/// Validates a hello received by rank `me` of an `nprocs`-rank run.
+/// `expect_rank` is the dialed rank on the dialer side, or -1 on the accept
+/// side, where any higher rank not yet in `connected` (the mesh's per-rank
+/// fds, -1 when unconnected) is admissible. `link` names what the dialer
+/// reached ("port", "socket") and `hint` the likely cause of a rank
+/// mismatch there.
+void check_hello(const RankHello& h, int me, int nprocs, int expect_rank,
+                 const std::vector<int>& connected, const char* link,
+                 const char* hint) {
+  auto fail = [&](const std::string& what, int peer) {
+    throw BspTransportError(what, me, peer, /*superstep=*/-1, /*stage=*/-1,
+                            /*err=*/0, /*bytes_moved=*/0);
+  };
+  if (h.magic != RankHello::kMagic) {
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(h.magic));
+    fail(std::string("rank handshake has bad magic ") + hex +
+             " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
+         expect_rank);
+  }
+  if (h.version != RankHello::kVersion) {
+    fail("rank handshake version mismatch: peer speaks mesh protocol v" +
+             std::to_string(h.version) + ", this build expects v" +
+             std::to_string(RankHello::kVersion),
+         expect_rank);
+  }
+  if (h.reserved != 0) {
+    fail("rank handshake has nonzero reserved field (stream corruption?)",
+         expect_rank);
+  }
+  if (h.nprocs != static_cast<std::uint32_t>(nprocs)) {
+    fail("rank handshake nprocs mismatch: peer was launched with " +
+             std::to_string(h.nprocs) + " ranks, this rank with " +
+             std::to_string(nprocs),
+         expect_rank);
+  }
+  if (expect_rank >= 0) {
+    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
+      fail("rank handshake rank mismatch: expected rank " +
+               std::to_string(expect_rank) + " on this " + link +
+               ", peer claims rank " + std::to_string(h.rank) + " (" + hint +
+               ")",
+           expect_rank);
+    }
+    return;
+  }
+  // Accept side: any higher rank we have not accepted yet.
+  const int r = static_cast<int>(h.rank);
+  if (h.rank >= static_cast<std::uint32_t>(nprocs) || r <= me) {
+    fail("rank handshake rank mismatch: accepted a connection claiming rank " +
+             std::to_string(h.rank) + ", but rank " + std::to_string(me) +
+             " of " + std::to_string(nprocs) +
+             " only accepts from higher ranks",
+         r);
+  }
+  if (connected[static_cast<std::size_t>(r)] >= 0) {
+    fail("duplicate rank handshake: rank " + std::to_string(r) +
+             " connected twice (two processes launched with the same "
+             "GBSP_RANK?)",
+         r);
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------- Mesh
@@ -243,110 +347,6 @@ void TcpMesh::kill_endpoints(int pid) {
   }
 }
 
-void TcpMesh::send_hello(int fd, int peer) const {
-  RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.tcp_rank);
-  h.nprocs = static_cast<std::uint32_t>(nprocs_);
-  int err = 0;
-  if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.tcp_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-}
-
-RankHello TcpMesh::recv_hello(int fd, int peer) const {
-  RankHello h;
-  int err = 0;
-  if (!read_full(fd, &h, sizeof(h), &err)) {
-    if (err == 0) {
-      throw BspTransportError(
-          "peer closed the connection during the rank handshake (peer died "
-          "during accept?)",
-          cfg_.tcp_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      throw BspTransportError(
-          "rank handshake timed out after tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.tcp_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.tcp_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-  return h;
-}
-
-void TcpMesh::check_hello(const RankHello& h, int fd, int expect_rank) const {
-  (void)fd;
-  const int me = cfg_.tcp_rank;
-  if (h.magic != RankHello::kMagic) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(h.magic));
-    throw BspTransportError(
-        std::string("rank handshake has bad magic ") + hex +
-            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.version != RankHello::kVersion) {
-    throw BspTransportError(
-        "rank handshake version mismatch: peer speaks mesh protocol v" +
-            std::to_string(h.version) + ", this build expects v" +
-            std::to_string(RankHello::kVersion),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.reserved != 0) {
-    throw BspTransportError(
-        "rank handshake has nonzero reserved field (stream corruption?)", me,
-        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
-    throw BspTransportError(
-        "rank handshake nprocs mismatch: peer was launched with " +
-            std::to_string(h.nprocs) + " ranks, this rank with " +
-            std::to_string(nprocs_),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (expect_rank >= 0) {
-    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
-      throw BspTransportError(
-          "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) + " on this port, peer claims rank " +
-              std::to_string(h.rank) + " (port map skewed?)",
-          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    return;
-  }
-  // Accept side: any higher rank we have not accepted yet.
-  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
-      static_cast<int>(h.rank) <= me) {
-    throw BspTransportError(
-        "rank handshake rank mismatch: accepted a connection claiming rank " +
-            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
-            " of " + std::to_string(nprocs_) +
-            " only accepts from higher ranks",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-  if (fd_[h.rank] >= 0) {
-    throw BspTransportError(
-        "duplicate rank handshake: rank " + std::to_string(h.rank) +
-            " connected twice (two processes launched with the same "
-            "GBSP_RANK?)",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-}
-
 void TcpMesh::do_build(int nprocs) {
   const int me = cfg_.tcp_rank;
   fd_.assign(static_cast<std::size_t>(nprocs), -1);
@@ -427,9 +427,10 @@ void TcpMesh::do_build(int nprocs) {
         // (it may be tearing down a previous incarnation) and retried until
         // the deadline; a malformed or mismatched hello is fatal.
         try {
-          send_hello(fd, j);
-          const RankHello h = recv_hello(fd, j);
-          check_hello(h, fd, /*expect_rank=*/j);
+          send_hello(fd, me, nprocs, j);
+          const RankHello h = recv_hello(fd, me, j, cfg_);
+          check_hello(h, me, nprocs, /*expect_rank=*/j, fd_, "port",
+                      "port map skewed?");
           break;
         } catch (const BspTransportError& e) {
           ::close(fd);
@@ -491,9 +492,10 @@ void TcpMesh::do_build(int nprocs) {
     set_io_timeout(fd, remaining_ms(deadline));
     RankHello h;
     try {
-      h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, fd, /*expect_rank=*/-1);
-      send_hello(fd, static_cast<int>(h.rank));
+      h = recv_hello(fd, me, /*peer=*/-1, cfg_);
+      check_hello(h, me, nprocs, /*expect_rank=*/-1, fd_, "port",
+                  "port map skewed?");
+      send_hello(fd, me, nprocs, static_cast<int>(h.rank));
     } catch (...) {
       ::close(fd);
       throw;
@@ -703,110 +705,6 @@ ShmPairView* ShmMesh::shm_pair(int pid, int peer) {
   return &pairs_[static_cast<std::size_t>(peer)];
 }
 
-void ShmMesh::send_hello(int fd, int peer) const {
-  RankHello h;
-  h.rank = static_cast<std::uint32_t>(cfg_.shm_rank);
-  h.nprocs = static_cast<std::uint32_t>(nprocs_);
-  int err = 0;
-  if (!write_full(fd, &h, sizeof(h), &err)) {
-    throw BspTransportError("failed to send the rank handshake",
-                            cfg_.shm_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-}
-
-RankHello ShmMesh::recv_hello(int fd, int peer) const {
-  RankHello h;
-  int err = 0;
-  if (!read_full(fd, &h, sizeof(h), &err)) {
-    if (err == 0) {
-      throw BspTransportError(
-          "peer closed the connection during the rank handshake (peer died "
-          "during accept?)",
-          cfg_.shm_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      throw BspTransportError(
-          "rank handshake timed out after tcp_connect_timeout_ms=" +
-              std::to_string(cfg_.tcp_connect_timeout_ms) + "ms",
-          cfg_.shm_rank, peer, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    throw BspTransportError("failed to read the rank handshake",
-                            cfg_.shm_rank, peer, /*superstep=*/-1,
-                            /*stage=*/-1, err, /*bytes_moved=*/0);
-  }
-  return h;
-}
-
-void ShmMesh::check_hello(const RankHello& h, int expect_rank) const {
-  const int me = cfg_.shm_rank;
-  if (h.magic != RankHello::kMagic) {
-    char hex[32];
-    std::snprintf(hex, sizeof(hex), "0x%016llx",
-                  static_cast<unsigned long long>(h.magic));
-    throw BspTransportError(
-        std::string("rank handshake has bad magic ") + hex +
-            " — the peer is not a gbsp mesh rank (or a byte-order mismatch)",
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.version != RankHello::kVersion) {
-    throw BspTransportError(
-        "rank handshake version mismatch: peer speaks mesh protocol v" +
-            std::to_string(h.version) + ", this build expects v" +
-            std::to_string(RankHello::kVersion),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.reserved != 0) {
-    throw BspTransportError(
-        "rank handshake has nonzero reserved field (stream corruption?)", me,
-        expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (h.nprocs != static_cast<std::uint32_t>(nprocs_)) {
-    throw BspTransportError(
-        "rank handshake nprocs mismatch: peer was launched with " +
-            std::to_string(h.nprocs) + " ranks, this rank with " +
-            std::to_string(nprocs_),
-        me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-        /*bytes_moved=*/0);
-  }
-  if (expect_rank >= 0) {
-    if (h.rank != static_cast<std::uint32_t>(expect_rank)) {
-      throw BspTransportError(
-          "rank handshake rank mismatch: expected rank " +
-              std::to_string(expect_rank) +
-              " on this socket, peer claims rank " + std::to_string(h.rank) +
-              " (shm_name collision between runs?)",
-          me, expect_rank, /*superstep=*/-1, /*stage=*/-1, /*err=*/0,
-          /*bytes_moved=*/0);
-    }
-    return;
-  }
-  // Accept side: any higher rank we have not accepted yet.
-  if (h.rank >= static_cast<std::uint32_t>(nprocs_) ||
-      static_cast<int>(h.rank) <= me) {
-    throw BspTransportError(
-        "rank handshake rank mismatch: accepted a connection claiming rank " +
-            std::to_string(h.rank) + ", but rank " + std::to_string(me) +
-            " of " + std::to_string(nprocs_) +
-            " only accepts from higher ranks",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-  if (ctrl_[h.rank] >= 0) {
-    throw BspTransportError(
-        "duplicate rank handshake: rank " + std::to_string(h.rank) +
-            " connected twice (two processes launched with the same "
-            "GBSP_RANK?)",
-        me, static_cast<int>(h.rank), /*superstep=*/-1, /*stage=*/-1,
-        /*err=*/0, /*bytes_moved=*/0);
-  }
-}
-
 int ShmMesh::create_segment(int peer) {
   const int me = cfg_.shm_rank;
   const std::size_t len = shm_segment_bytes(cfg_);
@@ -1005,9 +903,10 @@ void ShmMesh::do_build(int nprocs) {
         // during the segment HANDOFF (after a validated hello) is fatal:
         // that peer committed to this build and died.
         try {
-          send_hello(fd, j);
-          const RankHello h = recv_hello(fd, j);
-          check_hello(h, /*expect_rank=*/j);
+          send_hello(fd, me, nprocs, j);
+          const RankHello h = recv_hello(fd, me, j, cfg_);
+          check_hello(h, me, nprocs, /*expect_rank=*/j, ctrl_, "socket",
+                      "shm_name collision between runs?");
           std::uint64_t seg_len = 0;
           const int seg_fd = recv_fd_with_len(fd, &seg_len, me, j,
                                               cfg_.tcp_connect_timeout_ms);
@@ -1092,9 +991,10 @@ void ShmMesh::do_build(int nprocs) {
     set_io_timeout(fd, remaining_ms(deadline));
     int seg_fd = -1;
     try {
-      const RankHello h = recv_hello(fd, /*peer=*/-1);
-      check_hello(h, /*expect_rank=*/-1);
-      send_hello(fd, static_cast<int>(h.rank));
+      const RankHello h = recv_hello(fd, me, /*peer=*/-1, cfg_);
+      check_hello(h, me, nprocs, /*expect_rank=*/-1, ctrl_, "socket",
+                  "shm_name collision between runs?");
+      send_hello(fd, me, nprocs, static_cast<int>(h.rank));
       seg_fd = create_segment(static_cast<int>(h.rank));
       send_fd_with_len(fd, seg_fd, shm_segment_bytes(cfg_), me,
                        static_cast<int>(h.rank));

@@ -9,7 +9,9 @@
 // sectioned wire format run over in-process AF_UNIX socketpairs and over
 // AF_INET/TCP between separate OS processes.
 //
-// Two implementations:
+// Three implementations, one per mesh-backed DeliveryStrategy
+// (MeshTransport, core/transport_mesh.hpp, composes whichever one
+// make_transport picks with the exchange engine):
 //
 //   * SocketpairMesh — the in-process mesh: all p ranks live in this process
 //     as threads, and each (i, j) pair is an AF_UNIX SOCK_STREAM socketpair
@@ -25,7 +27,11 @@
 //     the mesh; TCP_NODELAY is set on every endpoint so the staged
 //     exchange's small control sections are not Nagle-delayed.
 //
-// Dirty-wire contract (shared with the transports): a mesh starts dirty, so
+//   * ShmMesh — the cross-process shared-memory mesh: one rank per process
+//     on one host, each rank pair sharing an mmap'd segment of SPSC rings;
+//     the bootstrap streams (same RankHello) stay open as control channels.
+//
+// Dirty-wire contract (shared with the transport): a mesh starts dirty, so
 // the first build() happens on the first reset_run(). A worker that unwinds
 // mid-stage calls mark_dirty() (possible half-written stage bytes in kernel
 // buffers or, for TCP, a desynchronised peer), and the next reset_run()
@@ -169,7 +175,10 @@ class SocketpairMesh final : public Mesh {
 };
 
 /// On-wire rank handshake exchanged (both directions) on every freshly
-/// connected TCP mesh link, before it carries stage traffic. The magic
+/// connected TcpMesh link and ShmMesh bootstrap stream, before the link
+/// joins the mesh; one set of blocking-with-deadline helpers in mesh.cpp
+/// sends, reads and validates it for both meshes (the only blocking I/O in
+/// the system; stage traffic is non-blocking). The magic
 /// doubles as a byte-order sentinel: a peer of different endianness (or a
 /// stray client that is not a gbsp rank) fails the magic check with a
 /// descriptive error instead of desynchronising the stage protocol.
@@ -207,15 +216,6 @@ class TcpMesh final : public Mesh {
   void do_build(int nprocs) override;
 
  private:
-  /// Blocking-with-deadline exact read/write of a RankHello on a freshly
-  /// connected link (the only blocking I/O in the system; stage traffic is
-  /// non-blocking). `peer` is -1 when the sender's rank is not yet known.
-  void send_hello(int fd, int peer) const;
-  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  /// Shared validation of a received hello; `expect_rank` is -1 on the
-  /// accept side (any not-yet-connected higher rank is admissible).
-  void check_hello(const RankHello& h, int fd, int expect_rank) const;
-
   // fd_[j]: the local rank's stream with rank j; -1 for self and unbuilt.
   std::vector<int> fd_;
   int listen_fd_ = -1;
@@ -275,9 +275,6 @@ class ShmMesh final : public Mesh {
     std::size_t len = 0;
   };
 
-  void send_hello(int fd, int peer) const;
-  [[nodiscard]] RankHello recv_hello(int fd, int peer) const;
-  void check_hello(const RankHello& h, int peer) const;
   /// Creates, sizes and maps the pair segment with `peer` (lower-rank side),
   /// initialises its header and control blocks, and returns the memfd (the
   /// caller passes it to the peer and closes it).

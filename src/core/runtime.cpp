@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include "core/transport.hpp"
@@ -30,28 +31,14 @@ void Worker::require_outside_window(const char* what) const {
 }
 
 void Worker::send_bytes(int dest, const void* data, std::size_t n) {
-  detail::WorkerState& st = *state_;
-  const Config& cfg = rt_->config();
-  require_outside_window("send()");
-  if (dest < 0 || dest >= cfg.nprocs) {
-    throw std::out_of_range("gbsp: send to invalid processor " +
-                            std::to_string(dest));
-  }
-  rt_->transport_->stage_send(st, dest, data, n);
-
-  const std::uint64_t pkts = packets_for_bytes(n, cfg.packet_unit_bytes);
-  st.sent_packets += pkts;
-  st.sent_bytes += n;
-  st.sent_messages += 1;
-  if (cfg.collect_comm_matrix) {
-    st.sent_to[static_cast<std::size_t>(dest)] += pkts;
-  }
+  std::byte* slot = send_reserve(dest, n);
+  if (n != 0) std::memcpy(slot, data, n);
 }
 
 std::byte* Worker::send_reserve(int dest, std::size_t n) {
   detail::WorkerState& st = *state_;
   const Config& cfg = rt_->config();
-  require_outside_window("send_reserve()");
+  require_outside_window("send()/send_reserve()");
   if (dest < 0 || dest >= cfg.nprocs) {
     throw std::out_of_range("gbsp: send to invalid processor " +
                             std::to_string(dest));
@@ -374,7 +361,7 @@ void Runtime::watchdog_main() {
 
 void Runtime::worker_main(int local, const std::function<void(Worker&)>& fn) {
   // `local` indexes states_; st.pid is the global rank (they differ only in
-  // process mode, where the one local state carries Config::tcp_rank).
+  // process mode, where the one local state carries process_rank()).
   detail::WorkerState& st = *states_[static_cast<std::size_t>(local)];
   Worker w(this, &st);
   detail::current_worker_slot() = &w;
@@ -402,9 +389,15 @@ void Runtime::worker_main(int local, const std::function<void(Worker&)>& fn) {
 
 bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   const int p = cfg_.nprocs;
-  // In process mode this process hosts exactly one of the p ranks; its state
-  // still carries per-destination counters sized to the full global run.
-  const int nl = process_mode() ? 1 : p;
+  // In process mode (process_mode(), config.hpp) this process hosts exactly
+  // one of the p ranks: one WorkerState carrying the global rank, boundary
+  // barriers of size 1, and the transport's staged exchange as the
+  // cross-rank synchronisation. RunStats then holds this rank's trace only,
+  // and checkpoint resume degrades to whole-run replay (latest_complete
+  // spans all nprocs ranks, of which only the local one checkpoints here).
+  // The state still carries per-destination counters sized to the full run.
+  const bool proc = process_mode(cfg_);
+  const int nl = proc ? 1 : p;
   abort_.store(false, std::memory_order_release);
   first_error_ = nullptr;
   first_error_pid_ = -1;
@@ -414,7 +407,7 @@ bool Runtime::run_attempt(const std::function<void(Worker&)>& fn) {
   states_.reserve(static_cast<std::size_t>(nl));
   for (int i = 0; i < nl; ++i) {
     auto st = std::make_unique<detail::WorkerState>();
-    st->pid = process_mode() ? process_rank() : i;
+    st->pid = proc ? process_rank(cfg_) : i;
     st->seq_to.assign(static_cast<std::size_t>(p), 0);
     if (cfg_.collect_comm_matrix) {
       st->sent_to.assign(static_cast<std::size_t>(p), 0);

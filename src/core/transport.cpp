@@ -9,9 +9,7 @@
 
 #include "core/transport_deferred.hpp"
 #include "core/transport_eager.hpp"
-#include "core/transport_shm.hpp"
-#include "core/transport_socket.hpp"
-#include "core/transport_tcp.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 
@@ -73,11 +71,14 @@ std::unique_ptr<Transport> make_transport(const Config& cfg, SlabPool& pool,
     case DeliveryStrategy::Eager:
       return std::make_unique<EagerTransport>(cfg, pool, abort_flag);
     case DeliveryStrategy::Socket:
-      return std::make_unique<SocketTransport>(cfg, pool, abort_flag);
+      return std::make_unique<MeshTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::SocketpairMesh>(cfg));
     case DeliveryStrategy::Tcp:
-      return std::make_unique<TcpTransport>(cfg, pool, abort_flag);
+      return std::make_unique<MeshTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::TcpMesh>(cfg));
     case DeliveryStrategy::Shm:
-      return std::make_unique<ShmTransport>(cfg, pool, abort_flag);
+      return std::make_unique<MeshTransport>(
+          cfg, pool, abort_flag, std::make_unique<detail::ShmMesh>(cfg));
   }
   throw std::invalid_argument("gbsp: unknown DeliveryStrategy");
 }
@@ -138,8 +139,6 @@ bool configure_proc_from_env(Config& cfg) {
   }
   return true;
 }
-
-bool configure_tcp_from_env(Config& cfg) { return configure_proc_from_env(cfg); }
 
 namespace detail {
 

@@ -6,12 +6,15 @@
 // owns worker lifecycle, scheduling, and instrumentation, and dispatches all
 // message movement through one Transport selected from Config::delivery:
 //
-//   * DeferredTransport (core/transport_deferred.hpp): lock-free whole-arena
-//     swap at the boundary — the shared-memory realisation.
-//   * EagerTransport (core/transport_eager.hpp): the paper's Appendix B.1
-//     alternating input buffers with chunk-granularity locking.
-//   * SocketTransport (core/transport_socket.hpp): the paper's Appendix B.3
-//     rigid (p-1)-stage total exchange over real loopback sockets.
+//   * deferred — DeferredTransport (core/transport_deferred.hpp): lock-free
+//     whole-arena swap at the boundary, the shared-memory realisation.
+//   * eager — EagerTransport (core/transport_eager.hpp): the paper's
+//     Appendix B.1 alternating input buffers with chunk-granularity locking.
+//   * socket, tcp, shm — MeshTransport (core/transport_mesh.hpp): the paper's
+//     Appendix B.3 rigid (p-1)-stage total exchange, run by one
+//     ExchangeEngine per local rank over the mesh make_transport picks:
+//     in-process AF_UNIX socketpairs, one process per rank over TCP, or one
+//     process per rank over shared-memory rings.
 //
 // Arena ownership: transports own every message arena. WorkerState carries
 // only the inbox *views*; the bytes behind them live in a transport-owned
@@ -70,21 +73,21 @@ struct BspTransportError : std::runtime_error {
 /// its whole lifetime; per-run state is rebuilt by reset_run().
 ///
 /// Concurrency contract (the seam's locking rules):
-///  * stage_send() and flush() are called by the owning worker's thread only,
-///    with `st` being that worker's own state.
+///  * stage_reserve() and flush() are called by the owning worker's thread
+///    only, with `st` being that worker's own state.
 ///  * deliver_to() in Parallel mode is called concurrently, one call per
 ///    worker. For barrier transports (needs_boundary_barriers() == true) the
 ///    calls run strictly between the two boundary barriers, when no worker
 ///    is sending — implementations may therefore read *any* worker's
 ///    sender-side arenas without locks, but may mutate only state belonging
-///    to `dst`. For self-synchronising transports (socket) there is no
+///    to `dst`. For self-synchronising transports (the meshes) there is no
 ///    global quiescent point: deliver_to() may touch only dst's own state
 ///    and dst's endpoints, and must tolerate peers that are still computing.
 ///  * exchange() replaces deliver_to() in Serialized mode. It is invoked by
 ///    the SerialScheduler from whichever worker thread completes the round,
 ///    with the scheduler lock held — effectively single-threaded, never
-///    concurrent with stage_send()/flush()/deliver_to(). (This documents the
-///    contract that Runtime::exchange_all() used to claim imprecisely as
+///    concurrent with stage_reserve()/flush()/deliver_to(). (This documents
+///    the contract that Runtime::exchange_all() used to claim imprecisely as
 ///    "runs single-threaded".)
 class Transport {
  public:
@@ -111,20 +114,15 @@ class Transport {
   virtual void reset_run(
       const std::vector<std::unique_ptr<detail::WorkerState>>& states) = 0;
 
-  /// Stages `n` bytes from `st` (the sending worker) to `dest`: appends a
-  /// frame to the transport's staging arena and copies the payload once.
-  /// Bumps st.seq_to[dest]. Delivered after the receiver's next sync().
-  virtual void stage_send(detail::WorkerState& st, int dest, const void* data,
-                          std::size_t n) = 0;
-
-  /// Like stage_send(), but returns the writable payload slot instead of
-  /// copying from a caller buffer: the caller builds the message in place.
-  /// This is what lets the collectives layer combine many logical payloads
-  /// into one framed message without a staging copy — `MessageArena::append`
-  /// slots are pointer-stable (slabs never move), so the returned pointer
-  /// stays valid until the message is delivered. The slot is part of the
-  /// current superstep's traffic whether or not the caller writes all of it;
-  /// same concurrency contract as stage_send().
+  /// Stages an `n`-byte message from `st` (the sending worker) to `dest`
+  /// and returns its writable payload slot: appends a frame to the
+  /// transport's staging arena and bumps st.seq_to[dest]; the caller builds
+  /// the message in place (Worker::send_bytes copies its buffer in, the
+  /// collectives layer combines many logical payloads into one framed
+  /// message). `MessageArena::append` slots are pointer-stable (slabs never
+  /// move), so the returned pointer stays valid until the message is
+  /// delivered, after the receiver's next sync(). The slot is part of the
+  /// current superstep's traffic whether or not the caller writes all of it.
   virtual std::byte* stage_reserve(detail::WorkerState& st, int dest,
                                    std::size_t n) = 0;
 
@@ -142,7 +140,7 @@ class Transport {
   // implementations map the split pair onto today's flush()+deliver_to(), so
   // transports without incremental progress stay behavior-identical to a
   // rigid sync(): all message movement happens at finish_exchange(), under
-  // the same barrier placement. Transports with real overlap (socket)
+  // the same barrier placement. Transports with real overlap (the meshes)
   // override all three. Each call runs on the owning worker's thread with
   // `st` being that worker's own state, and may touch only what deliver_to()
   // may touch for a self-synchronising transport — the caller computes on
@@ -185,7 +183,7 @@ class Transport {
 };
 
 /// Human-readable transport name for a strategy ("deferred", "eager",
-/// "socket").
+/// "socket", "tcp", "shm"); Transport::name() returns the same string.
 [[nodiscard]] const char* to_string(DeliveryStrategy d);
 
 /// Parses a --transport flag value; throws std::invalid_argument on unknown
@@ -200,10 +198,6 @@ class Transport {
 /// is absent (not launched by bsp_launch); throws std::invalid_argument on a
 /// malformed environment.
 bool configure_proc_from_env(Config& cfg);
-
-/// Old name of configure_proc_from_env, kept for existing callers; identical
-/// behavior (including GBSP_TRANSPORT=shm).
-bool configure_tcp_from_env(Config& cfg);
 
 /// Builds the Transport for cfg.delivery. `pool` must outlive the transport
 /// (it backs every arena); `abort_flag` is the runtime's shared abort flag,
@@ -223,7 +217,7 @@ class TransportBase : public Transport {
 
   /// Default Serialized-mode exchange: deliver to each unfinished worker in
   /// pid order. Transports whose wire protocol involves finished workers
-  /// (socket) override this.
+  /// (MeshTransport) override this.
   void exchange(
       const std::vector<std::unique_ptr<WorkerState>>& states) override {
     for (const auto& st : states) {

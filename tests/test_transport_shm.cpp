@@ -3,13 +3,14 @@
 // p ranks are threads rather than processes, so each "rank" here is a
 // thread owning its own rank-r Config, ShmMesh/Runtime, and slice of a
 // per-test segment name — exactly what p bsp_launch children would own.
-// (The true multi-process path is covered by scripts/run_proc_smoke.sh,
-// which drives the real launcher.)
+// (The true multi-process path is covered by the launch_app_suite_shm ctest
+// row and scripts/run_proc_smoke.sh, which drive the real launcher.)
 //
 // Covered seams: the mesh bootstrap (full p-rank build with fd-passed pair
 // segments, the failure matrix — fd-pass death, geometry mismatches, rank
-// collisions — each with its descriptive BspTransportError), the
-// end-to-end Runtime exchange across ranks, mesh reuse across clean runs,
+// collisions, malformed handshakes — each with its descriptive
+// BspTransportError), the end-to-end Runtime exchange across ranks, mesh
+// reuse across clean runs,
 // peer death mid-stage surfacing through the control channel, and the
 // zero-copy slab path (threshold routing, stats, epoch recycling, the
 // reuse-after-recycle guard's inline fallback).
@@ -32,7 +33,7 @@
 #include "core/runtime.hpp"
 #include "core/shm_ring.hpp"
 #include "core/transport.hpp"
-#include "core/transport_shm.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 namespace {
@@ -355,13 +356,16 @@ TEST(ShmMeshBootstrap, SegmentSizeMismatchIsDescriptive) {
   rank0.join();
 }
 
-TEST(ShmMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
-  const std::string name = seg_name(6);
+// Impersonates a peer of rank 0 in a 2-rank run: dials rank 0's bootstrap
+// listener, sends the 24 handshake bytes at `hello`, and returns the
+// BspTransportError rank 0's build reports (empty when the build wrongly
+// succeeds). A rejected handshake must leave the mesh dirty.
+std::string rejected_hello_error(int test_slot, const void* hello) {
+  const std::string name = seg_name(test_slot);
   std::thread fake_peer([&] {
     const int fd = dial(name, 0);
-    const char junk[24] = "GET / HTTP/1.1\r\n";  // not a gbsp rank at all
-    ASSERT_EQ(::send(fd, junk, sizeof(junk), MSG_NOSIGNAL),
-              static_cast<ssize_t>(sizeof(junk)));
+    ASSERT_EQ(::send(fd, hello, sizeof(detail::RankHello), MSG_NOSIGNAL),
+              static_cast<ssize_t>(sizeof(detail::RankHello)));
     char sink[64];
     (void)::recv(fd, sink, sizeof(sink), 0);
     ::close(fd);
@@ -369,15 +373,49 @@ TEST(ShmMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
   Config cfg = rank_cfg(0, 2, name);
   cfg.tcp_connect_timeout_ms = 5'000;
   detail::ShmMesh mesh(cfg);
+  std::string what;
   try {
     mesh.build(2);
-    FAIL() << "an HTTP client wandering in must not join the mesh";
   } catch (const BspTransportError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+    what = e.what();
   }
   EXPECT_TRUE(mesh.dirty());
   fake_peer.join();
+  return what;
+}
+
+TEST(ShmMeshBootstrap, StrayClientWithBadMagicIsDescriptive) {
+  const char junk[24] = "GET / HTTP/1.1\r\n";  // not a gbsp rank at all
+  const std::string what = rejected_hello_error(6, junk);
+  EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+}
+
+TEST(ShmMeshBootstrap, HandshakeVersionMismatchIsDescriptive) {
+  detail::RankHello h;
+  h.version = 99;  // wrong protocol version, correct magic
+  h.rank = 1;
+  h.nprocs = 2;
+  const std::string what = rejected_hello_error(12, &h);
+  EXPECT_NE(what.find("version mismatch"), std::string::npos) << what;
+  EXPECT_NE(what.find("v99"), std::string::npos) << what;
+}
+
+TEST(ShmMeshBootstrap, HandshakeRankMismatchIsDescriptive) {
+  detail::RankHello h;
+  h.rank = 7;  // far outside a 2-rank run
+  h.nprocs = 2;
+  const std::string what = rejected_hello_error(13, &h);
+  EXPECT_NE(what.find("rank mismatch"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 7"), std::string::npos) << what;
+}
+
+TEST(ShmMeshBootstrap, HandshakeNprocsMismatchIsDescriptive) {
+  detail::RankHello h;
+  h.rank = 1;
+  h.nprocs = 8;  // launched with a different -p than us
+  const std::string what = rejected_hello_error(14, &h);
+  EXPECT_NE(what.find("nprocs mismatch"), std::string::npos) << what;
+  EXPECT_NE(what.find("8 ranks"), std::string::npos) << what;
 }
 
 // --------------------------------------------------------------------------
@@ -438,7 +476,7 @@ TEST(ShmRuntime, CleanRunsReuseTheMesh) {
     rt.run(program);
     rt.run(program);
     rt.run(program);
-    auto* shm = dynamic_cast<ShmTransport*>(&rt.transport());
+    auto* shm = dynamic_cast<MeshTransport*>(&rt.transport());
     ASSERT_NE(shm, nullptr);
     EXPECT_EQ(shm->debug_mesh_builds(), 1u)
         << "clean runs must reuse the bootstrapped mesh";
@@ -577,7 +615,7 @@ TEST(ShmRuntime, PeerDeathSurfacesAndMeshRebuilds) {
     }
     rank0_failed.set_value();
     rt.run(ping);  // phase 3: rebuild against the new incarnation
-    auto* shm = dynamic_cast<ShmTransport*>(&rt.transport());
+    auto* shm = dynamic_cast<MeshTransport*>(&rt.transport());
     ASSERT_NE(shm, nullptr);
     EXPECT_EQ(shm->debug_mesh_builds(), 2u)
         << "the failed run must force exactly one mesh rebuild";

@@ -2,7 +2,8 @@
 // framing, kernel-buffer-exceeding transfers, and fault injection (peer
 // death, endpoint EOF, stage timeout). Conformance with BSP semantics is
 // covered by the parameterized suites in test_runtime*.cpp; this file tests
-// what only the socket transport does.
+// what only the socket transport does, plus the capability contract that
+// MeshTransport declares on all three meshes (socket, tcp, shm).
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -12,11 +13,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/runtime.hpp"
 #include "core/transport.hpp"
-#include "core/transport_socket.hpp"
+#include "core/transport_mesh.hpp"
 
 namespace gbsp {
 namespace {
@@ -193,7 +195,7 @@ TEST(SocketFaultInjection, KilledEndpointsSurfaceAsTransportError) {
   // Hard-close one worker's endpoints mid-run, as if its process died: the
   // peer observes EOF on the shared stream and diagnoses it.
   Runtime rt(socket_config(2));
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   EXPECT_THROW(rt.run([&](Worker& w) {
                  if (w.pid() == 0) {
@@ -251,7 +253,7 @@ TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {
   // consecutive run() calls keep the same socketpair mesh instead of
   // rebuilding it.
   Runtime rt(socket_config(2));
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   auto program = [](Worker& w) {
     w.send(1 - w.pid(), w.pid() + 10);
@@ -261,10 +263,10 @@ TEST(SocketLifecycle, CleanRunsReuseTheSocketMesh) {
     EXPECT_EQ(m->as<int>(), (1 - w.pid()) + 10);
   };
   rt.run(program);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u);
+  EXPECT_EQ(sock->debug_mesh_builds(), 1u);
   rt.run(program);
   rt.run(program);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u) << "clean runs must reuse";
+  EXPECT_EQ(sock->debug_mesh_builds(), 1u) << "clean runs must reuse";
 }
 
 TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
@@ -275,7 +277,7 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
   cfg.socket_stage_timeout_ms = 200;
   cfg.socket_backoff_max_ms = 10;
   Runtime rt(cfg);
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   ASSERT_NE(sock, nullptr);
   EXPECT_THROW(rt.run([](Worker& w) {
                  w.send(1 - w.pid(), 1);
@@ -283,7 +285,7 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
                  if (w.pid() == 1) w.sync();  // wedge -> timeout
                }),
                BspTransportError);
-  EXPECT_EQ(sock->debug_socket_builds(), 1u);
+  EXPECT_EQ(sock->debug_mesh_builds(), 1u);
   auto clean = [](Worker& w) {
     w.send(1 - w.pid(), 7);
     w.sync();
@@ -292,9 +294,9 @@ TEST(SocketLifecycle, FailedRunForcesAMeshRebuild) {
     EXPECT_EQ(m->as<int>(), 7);
   };
   rt.run(clean);
-  EXPECT_EQ(sock->debug_socket_builds(), 2u) << "dirty wire must rebuild";
+  EXPECT_EQ(sock->debug_mesh_builds(), 2u) << "dirty wire must rebuild";
   rt.run(clean);
-  EXPECT_EQ(sock->debug_socket_builds(), 2u) << "clean again: reuse resumes";
+  EXPECT_EQ(sock->debug_mesh_builds(), 2u) << "clean again: reuse resumes";
 }
 
 // --------------------------------------------------------- stream corruption
@@ -315,7 +317,7 @@ void inject_bytes(int fd, const void* data, std::size_t n) {
 std::string garbled_stream_error(Config cfg,
                                  const std::vector<std::uint8_t>& garbage) {
   Runtime rt(cfg);
-  auto* sock = dynamic_cast<SocketTransport*>(&rt.transport());
+  auto* sock = dynamic_cast<MeshTransport*>(&rt.transport());
   if (sock == nullptr) return "not a socket transport";
   try {
     rt.run([&](Worker& w) {
@@ -459,11 +461,25 @@ TEST(SocketLargeTransfers, TinyKernelBuffersStillDeliverExactly) {
   }
 }
 
-TEST(SocketTransportCapabilities, DeclaresItsContract) {
-  Runtime rt(socket_config(2));
-  EXPECT_STREQ(rt.transport().name(), "socket");
-  EXPECT_FALSE(rt.transport().needs_boundary_barriers());
-  EXPECT_FALSE(rt.transport().steady_state_zero_alloc());
+TEST(MeshTransportCapabilities, DeclaresItsContractOnEveryMesh) {
+  // One transport class serves all three meshes; each must answer the seam's
+  // capability questions the same way and be named after its strategy.
+  // Constructing the Runtime builds no mesh (that waits for the first run),
+  // so the process meshes need no peers here.
+  const std::pair<DeliveryStrategy, const char*> meshes[] = {
+      {DeliveryStrategy::Socket, "socket"},
+      {DeliveryStrategy::Tcp, "tcp"},
+      {DeliveryStrategy::Shm, "shm"}};
+  for (const auto& [d, name] : meshes) {
+    Config cfg = socket_config(2);
+    cfg.delivery = d;
+    Runtime rt(cfg);
+    EXPECT_STREQ(rt.transport().name(), name);
+    EXPECT_STREQ(rt.transport().name(), to_string(d));
+    EXPECT_FALSE(rt.transport().needs_boundary_barriers()) << name;
+    EXPECT_FALSE(rt.transport().steady_state_zero_alloc()) << name;
+    EXPECT_NE(dynamic_cast<MeshTransport*>(&rt.transport()), nullptr) << name;
+  }
 }
 
 }  // namespace
